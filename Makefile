@@ -67,12 +67,13 @@ smoke-trace:
 # compiled-design store, then a traced warm run asserting zero
 # worker-side prepare.* spans (workers attach shared memory instead),
 # then a PlacementService submit/poll round-trip asserting
-# bit-identical rows.
+# bit-identical rows, then a traced store-less 2-worker run asserting
+# the same zero-compile property (pooled workers never compile).
 smoke-service:
 	python tools/smoke_service.py
 
-# Serial-vs-parallel-vs-store suite wall-clock (cold and warm store
-# phases); writes benchmarks/artifacts/BENCH_suite.json.
+# Serial-vs-pooled suite wall-clock (cold and warm store phases);
+# writes benchmarks/artifacts/BENCH_suite.json.
 bench-suite:
 	python benchmarks/bench_suite_runtime.py
 

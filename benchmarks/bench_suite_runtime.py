@@ -1,16 +1,17 @@
 #!/usr/bin/env python
-"""Suite-runtime benchmark: serial vs parallel vs compiled-design store.
+"""Suite-runtime benchmark: serial vs pooled compiled-design store.
 
-Runs the comparison suite four ways — serial, parallel without a
-store (every worker recompiles: the legacy baseline), parallel against
-a cold :class:`repro.service.CompiledDesignStore` (compile + persist),
+Runs the comparison suite three ways — serial, parallel against a
+cold :class:`repro.service.CompiledDesignStore` (compile + persist),
 and parallel against the now-warm store (memory-mapped load +
 shared-memory handoff, zero compile work in workers) — verifies all
-four produce bit-identical rows, and writes wall-clock numbers to
-``benchmarks/artifacts/BENCH_suite.json`` so future PRs have a
-performance trajectory to compare against.
+three produce bit-identical rows, and writes wall-clock numbers to
+``benchmarks/artifacts/BENCH_suite.json`` so future changes have a
+performance trajectory to compare against.  (A parallel run with no
+store named compiles into a temporary store, i.e. it runs the
+cold-store path.)
 
-Row identity across all four phases is the hard gate; the warm-store
+Row identity across all three phases is the hard gate; the warm-store
 speedup target (warm parallel >= 1.0x of serial) is a soft gate that
 warns on loaded/single-core runners.
 
@@ -84,7 +85,6 @@ def main() -> int:
 
     try:
         timed("serial")
-        timed("parallel", workers=args.workers)
         timed("cold_store", workers=args.workers, store=store_dir)
         timed("warm_store", workers=args.workers, store=store_dir)
     finally:
@@ -92,9 +92,7 @@ def main() -> int:
 
     baseline = _rows_key(results["serial"])
     identical = all(_rows_key(results[p]) == baseline
-                    for p in ("parallel", "cold_store", "warm_store"))
-    speedup = (phases["serial"] / phases["parallel"]
-               if phases["parallel"] else 0.0)
+                    for p in ("cold_store", "warm_store"))
     warm_speedup = (phases["serial"] / phases["warm_store"]
                     if phases["warm_store"] else 0.0)
 
@@ -109,10 +107,8 @@ def main() -> int:
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
         "serial_seconds": round(phases["serial"], 3),
-        "parallel_seconds": round(phases["parallel"], 3),
         "cold_store_seconds": round(phases["cold_store"], 3),
         "warm_store_seconds": round(phases["warm_store"], 3),
-        "speedup": round(speedup, 3),
         "warm_store_speedup": round(warm_speedup, 3),
         "rows": len(results["serial"].rows),
         "rows_identical": identical,
@@ -124,10 +120,8 @@ def main() -> int:
     with open(out, "w") as handle:
         json.dump(record, handle, indent=1)
     print(f"\nserial      {phases['serial']:7.1f}s")
-    print(f"parallel    {phases['parallel']:7.1f}s  (x{speedup:.2f} "
-          f"with {args.workers} workers, no store)")
     print(f"cold store  {phases['cold_store']:7.1f}s  "
-          f"(compile + persist)")
+          f"(compile + persist, {args.workers} workers)")
     print(f"warm store  {phases['warm_store']:7.1f}s  "
           f"(x{warm_speedup:.2f} vs serial)")
     print(f"rows identical: {identical}")

@@ -18,17 +18,18 @@ import os
 import pytest
 
 from repro.core.config import Effort
-from repro.api import run_suite
+from repro.api import RunOptions, run_suite
 
 SCALE = os.environ.get("REPRO_SCALE", "tiny")
 EFFORT = Effort(os.environ.get("REPRO_EFFORT", "fast"))
 SEED = int(os.environ.get("REPRO_SEED", "1"))
+OPTIONS = RunOptions(seed=SEED, effort=EFFORT)
 
 
 @pytest.fixture(scope="session")
 def suite_result():
     """The three-flow comparison over all eight circuits."""
-    return run_suite(scale=SCALE, seed=SEED, effort=EFFORT)
+    return run_suite(scale=SCALE, options=OPTIONS)
 
 
 @pytest.fixture(scope="session")

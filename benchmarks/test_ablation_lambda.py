@@ -7,7 +7,7 @@ is well-founded (the best λ differs from the worst by a measurable
 margin, and no single λ dominates by construction).
 """
 
-from benchmarks.conftest import EFFORT, SCALE, SEED, pedantic
+from benchmarks.conftest import OPTIONS, SCALE, pedantic
 from repro.api import prepare_design, run_flow
 from repro.gen.designs import suite_specs
 
@@ -26,7 +26,7 @@ def test_ablation_lambda_sweep(benchmark):
                                           prepared.die_w, prepared.die_h)
             for lam in LAMBDAS:
                 metrics = run_flow(flat, truth, f"hidap-l{lam}", die_w,
-                                   die_h, seed=SEED, effort=EFFORT)
+                                   die_h, options=OPTIONS)
                 results[(name, lam)] = metrics.wl_meters
         return results
 

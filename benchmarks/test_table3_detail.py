@@ -11,7 +11,7 @@ WNS as % of the clock period and TNS.  Key shapes we check:
   (paper: c3 and c8).
 """
 
-from benchmarks.conftest import SCALE, SEED, EFFORT, pedantic
+from benchmarks.conftest import OPTIONS, SCALE, pedantic
 from repro.api import format_table3, prepare_design, run_flow
 from repro.gen.designs import suite_specs
 
@@ -38,8 +38,8 @@ def test_table3_detail(suite_result, benchmark):
         prepared = prepare_design(spec)
         flat, truth, die_w, die_h = (prepared.flat, prepared.truth,
                                       prepared.die_w, prepared.die_h)
-        return run_flow(flat, truth, "indeda", die_w, die_h, seed=SEED,
-                        effort=EFFORT)
+        return run_flow(flat, truth, "indeda", die_w, die_h,
+                        options=OPTIONS)
 
     pedantic(benchmark, regenerate_one_row)
 

@@ -1,11 +1,10 @@
 """Single-run entry point: ``run_flow``, the shared referee, RunOptions.
 
-This module holds the implementation that historically lived in
-``repro.eval.flow`` (that module is now a deprecation shim re-exporting
-these names).  It also defines :class:`RunOptions`, the one knob record
-shared by every placement entry point — ``run_flow``, ``run_suite`` and
-:class:`repro.service.PlacementService` all accept the same options
-object, so a configuration travels unchanged from a one-off run to a
+:class:`RunOptions` is the one knob record shared by every placement
+entry point — ``run_flow``, ``run_suite`` and
+:class:`repro.service.PlacementService` all take the same options
+object (and no other way to pass seed, effort, referee backend or
+trace), so a configuration travels unchanged from a one-off run to a
 suite to a service job.
 
 Trace semantics (shared by all three entry points)
@@ -25,8 +24,7 @@ Tracing never changes placements, rows or RNG streams (asserted in
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, MutableMapping, Optional, Union
 
@@ -52,13 +50,9 @@ TraceSpec = Union[bool, str, Path, None]
 class RunOptions:
     """Per-run knobs shared by every placement entry point.
 
-    One frozen record replaces the ``seed``/``effort``/
-    ``referee_backend``/``trace`` keyword tails that ``run_flow`` and
-    ``run_suite`` used to grow independently;
-    :class:`repro.service.PlacementService` accepts the same object, so
+    ``run_flow``, ``run_suite`` and
+    :class:`repro.service.PlacementService` accept the same object, so
     client code configures a run once regardless of how it is executed.
-    The legacy keywords still work on every entry point but emit a
-    :class:`DeprecationWarning`.
     """
 
     seed: int = 1
@@ -82,35 +76,6 @@ class RunOptions:
         if isinstance(self.trace, (str, Path)):
             return Path(self.trace)
         return None
-
-
-def resolve_options(options: Optional[RunOptions] = None, *,
-                    seed: Optional[int] = None,
-                    effort=None,
-                    referee_backend: Optional[str] = None,
-                    trace: TraceSpec = None,
-                    _stacklevel: int = 3) -> RunOptions:
-    """Merge legacy keyword arguments into a :class:`RunOptions`.
-
-    Every entry point funnels through this shim: passing any of the
-    legacy ``seed``/``effort``/``referee_backend``/``trace`` keywords
-    emits one :class:`DeprecationWarning` naming them, and the values
-    override the corresponding ``options`` fields (so existing call
-    sites keep their exact behaviour while they migrate).
-    """
-    legacy = {k: v for k, v in (("seed", seed), ("effort", effort),
-                                ("referee_backend", referee_backend),
-                                ("trace", trace))
-              if v is not None}
-    if legacy:
-        warnings.warn(
-            "pass RunOptions(...) instead of the legacy keyword(s) "
-            + ", ".join(sorted(legacy)),
-            DeprecationWarning, stacklevel=_stacklevel)
-    resolved = options if options is not None else RunOptions()
-    if legacy:
-        resolved = replace(resolved, **legacy)
-    return resolved
 
 
 @dataclass
@@ -156,18 +121,17 @@ def evaluate_placement(flat: FlatDesign, placement: MacroPlacement,
     netlist's :class:`~repro.metrics.stdcell_kernel.StdcellArrays`, the
     sequential graph's
     :class:`~repro.metrics.timing_kernel.TimingArrays`), so repeated
-    evaluations share one compile.  When ``counters`` is given, the
-    backend name and per-metric wall-clock (``referee_stdcell_us``,
-    ``referee_hpwl_us``, ``referee_congestion_us``,
-    ``referee_timing_us``, integer microseconds) are recorded into it;
-    the same record lands on the returned row's ``eval_counters``.
+    evaluations share one compile.
+
+    Each kernel — stdcell placement (system assembly, CG solve and
+    diffusion), endpoint location, HPWL, congestion, timing — is timed
+    once: under a tracer, as one ``referee.<kernel>`` span, and the
+    ``referee_<kernel>_us`` counter (integer microseconds) is computed
+    from that span's own two clock reads.  The counters and the backend
+    name land on the returned row's ``eval_counters`` and, when
+    ``counters`` is given, are accumulated into it too.
     """
-    from repro.metrics import (
-        get_backend,
-        locate_endpoints,
-        net_arrays_for,
-        traced_backend,
-    )
+    from repro.metrics import get_backend, locate_endpoints, net_arrays_for
 
     die = placement.die
     port_positions = assign_port_positions(flat.design, die)
@@ -175,23 +139,29 @@ def evaluate_placement(flat: FlatDesign, placement: MacroPlacement,
         gseq = build_gseq(build_gnet(flat), flat)
 
     tracer = current_tracer()
-    resolved = traced_backend(get_backend(backend), tracer)
+    resolved = get_backend(backend)
     arrays = net_arrays_for(flat) if resolved.uses_net_arrays else None
     counters = counters if counters is not None else {}
     counters["referee_backend"] = resolved.name
 
-    def timed(key, fn):
+    def timed(kernel, fn):
         # The obs clock feeds the referee_*_us observability counters
         # only — it never reaches a metric value or an RNG stream.
-        start = perf_seconds()
-        result = fn()
-        counters[key] = counters.get(key, 0) + int(
-            1e6 * (perf_seconds() - start))
+        if tracer.enabled:
+            with tracer.span(f"referee.{kernel}") as span:
+                result = fn()
+            start, end = span.t0, span.t1
+        else:
+            start = perf_seconds()
+            result = fn()
+            end = perf_seconds()
+        key = f"referee_{kernel}_us"
+        counters[key] = counters.get(key, 0) + int(1e6 * (end - start))
         return result
 
     with tracer.span("referee", design=flat.design.name,
                      flow=placement.flow_name, backend=resolved.name):
-        cells = timed("referee_stdcell_us",
+        cells = timed("stdcell",
                       lambda: place_cells(flat, placement, port_positions,
                                           config=placer_config,
                                           backend=resolved))
@@ -199,20 +169,18 @@ def evaluate_placement(flat: FlatDesign, placement: MacroPlacement,
         # result.
         coords = None
         if arrays is not None:
-            with tracer.span("referee.locate"):
-                coords = timed(
-                    "referee_locate_us",
-                    lambda: locate_endpoints(arrays, placement, cells,
-                                             port_positions))
-        wl = timed("referee_hpwl_us",
+            coords = timed("locate",
+                           lambda: locate_endpoints(arrays, placement,
+                                                    cells, port_positions))
+        wl = timed("hpwl",
                    lambda: resolved.hpwl(flat, placement, cells,
                                          port_positions, arrays=arrays,
                                          coords=coords))
-        congestion = timed("referee_congestion_us",
+        congestion = timed("congestion",
                            lambda: resolved.congestion(
                                flat, placement, cells, port_positions,
                                arrays=arrays, coords=coords))
-        timing = timed("referee_timing_us",
+        timing = timed("timing",
                        lambda: analyze_timing(flat, gseq, placement,
                                               cells, port_positions,
                                               clock_period=clock_period,
@@ -234,31 +202,24 @@ def run_flow(flat: FlatDesign, truth: Optional[GroundTruth],
              flow: str, die_w: float, die_h: float,
              options: Optional[RunOptions] = None,
              clock_period: Optional[float] = None,
-             gseq=None,
-             seed: Optional[int] = None,
-             effort=None,
-             referee_backend: Optional[str] = None,
-             trace: TraceSpec = None) -> FlowMetrics:
+             gseq=None) -> FlowMetrics:
     """Place with ``flow`` and evaluate with the shared referee.
 
-    A thin shim over the flow registry (:mod:`repro.api.registry`):
+    A thin client of the flow registry (:mod:`repro.api.registry`):
     ``flow`` is any registered name or parameterized spec —
     ``indeda``, ``handfp``, ``hidap`` (λ=0.5), ``hidap:lam=<λ>``,
     ``hidap-best3`` (the paper's best-WL-of-three protocol), a flow
-    you registered yourself... — with the legacy ``hidap-l<λ>``
-    spelling still accepted.
+    you registered yourself... — with the ``hidap-l<λ>`` spelling
+    still accepted.
 
     ``options`` carries the run knobs (:class:`RunOptions`: seed,
     effort, referee backend, trace — see the module docstring for the
-    one trace semantics).  The legacy ``seed``/``effort``/
-    ``referee_backend``/``trace`` keywords still work but emit a
-    :class:`DeprecationWarning`.
+    one trace semantics).
     """
     from repro.api import get_flow
     from repro.api.prepared import PreparedDesign
 
-    opts = resolve_options(options, seed=seed, effort=effort,
-                           referee_backend=referee_backend, trace=trace)
+    opts = options if options is not None else RunOptions()
     prepared = PreparedDesign.from_flat(flat, die_w=die_w, die_h=die_h,
                                         truth=truth, gseq=gseq)
     placer = get_flow(flow, seed=opts.seed, effort=opts.effort,

@@ -8,12 +8,13 @@ pool.  Rows are returned in deterministic serial order — design order
 of ``suite_specs``, then flow order — so a parallel run is row-for-row
 identical to a serial one.
 
-``store=`` names a :class:`repro.service.CompiledDesignStore` (or a
-directory for one): designs are then compiled at most once, ever — a
-warm store skips every ``prepare.*`` compile, and pooled workers
-attach the compiled arrays through shared memory instead of
-rebuilding.  Without a store the legacy behaviour is preserved
-exactly: every worker process rebuilds and recompiles per process.
+Pooled workers never compile: they attach each design's compiled
+arrays through shared memory.  ``store=`` names a
+:class:`repro.service.CompiledDesignStore` (or a directory for one),
+so designs are compiled at most once, ever — a warm store skips every
+``prepare.*`` compile.  Without a store, a pooled run compiles into a
+temporary store that the service removes on close, and a serial run
+prepares each design in-process.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, TYPE_CHECKING, Tuple
 
 from repro.api.prepared import prepare_design
-from repro.api.run import RunOptions, TraceSpec, resolve_options
-from repro.gen.designs import suite_specs
+from repro.api.run import RunOptions
+from repro.gen.designs import select_suite_specs
 from repro.obs import (
     NULL_TRACER,
     Tracer,
@@ -49,22 +50,12 @@ class SuiteResult:
     design_info: Dict[str, str] = field(default_factory=dict)
     total_seconds: float = 0.0
     #: Tracer payloads (one per traced process, serial task order)
-    #: when ``run_suite(trace=...)`` was used; ``None`` otherwise.
+    #: when ``options.trace`` was set; ``None`` otherwise.
     #: Timing-only — excluded from every row/table comparison.
     trace: Optional[List[Dict[str, Any]]] = None
 
     def rows_for(self, design: str) -> List["FlowMetrics"]:
         return [r for r in self.rows if r.design == design]
-
-
-# Compatibility aliases: the worker plumbing moved to
-# repro.service.engine (shared with PlacementService); these names stay
-# importable here for existing callers and tests.
-_PREPARED_CACHE = engine._PREPARED_CACHE
-_portable_flow_entries = engine.portable_flow_entries
-_portable_backend_entries = engine.portable_backend_entries
-_init_suite_worker = engine.init_worker
-_suite_task = engine.run_cell
 
 
 def _resolve_store(store) -> Optional["CompiledDesignStore"]:
@@ -80,12 +71,8 @@ def _resolve_store(store) -> Optional["CompiledDesignStore"]:
 def run_suite(scale: str = "bench",
               flows: Sequence[str] = DEFAULT_FLOWS,
               designs: Optional[Sequence[str]] = None,
-              seed: Optional[int] = None,
-              effort=None,
               verbose: bool = False,
               workers: Optional[int] = None,
-              referee_backend: Optional[str] = None,
-              trace: TraceSpec = None,
               options: Optional[RunOptions] = None,
               store=None) -> SuiteResult:
     """Run every flow on every (selected) suite design.
@@ -95,20 +82,22 @@ def run_suite(scale: str = "bench",
     :class:`repro.service.PlacementService` pool of ``N`` workers.
     Both modes produce identical rows in identical order.
 
+    ``designs`` selects suite designs by name (``None`` → all); an
+    unknown name raises
+    :class:`~repro.gen.designs.UnknownDesignError`.
+
     ``options`` carries the run knobs (:class:`RunOptions`: seed,
     effort, referee backend, trace — see :mod:`repro.api.run` for the
-    one trace semantics shared by every entry point).  The legacy
-    ``seed``/``effort``/``referee_backend``/``trace`` keywords still
-    work but emit a :class:`DeprecationWarning`.
+    one trace semantics shared by every entry point).
 
     ``store`` (a directory path or a
     :class:`repro.service.CompiledDesignStore`) persists compiled
     designs across runs and processes: cold entries are compiled once
-    in the main process (``store.miss`` + ``store.compile`` spans),
-    warm ones memory-map back (``store.hit``), and pooled workers
+    in the main process (``store.miss`` + ``store.compile`` spans) and
+    warm ones memory-map back (``store.hit``).  Pooled workers always
     attach the arrays through shared memory (``store.attach``) with
-    zero ``prepare.*`` compile spans.  Rows are bit-identical with and
-    without a store.
+    zero ``prepare.*`` compile spans — with no store named, from a
+    temporary one.  Rows are bit-identical with and without a store.
 
     Tracing records the main process plus every (design, flow) cell —
     including cells inside pool workers, whose span trees ride back on
@@ -118,14 +107,12 @@ def run_suite(scale: str = "bench",
     """
     from repro.eval.tables import normalize_to_handfp
 
-    opts = resolve_options(options, seed=seed, effort=effort,
-                           referee_backend=referee_backend, trace=trace)
+    opts = options if options is not None else RunOptions()
     start = perf_seconds()
     tracing = opts.tracing
     tracer = Tracer("main") if tracing else None
     result = SuiteResult()
-    specs = [spec for spec in suite_specs(scale)
-             if designs is None or spec.name in designs]
+    specs = select_suite_specs(scale, designs)
     flows = tuple(flows)
     tasks = [(spec.name, flow) for spec in specs for flow in flows]
     payloads: Dict[Tuple[str, str], Dict[str, Any]] = {}

@@ -34,7 +34,12 @@ from repro.api import (
 )
 from repro.core.config import Effort
 from repro.eval.tables import format_table2, format_table3
-from repro.gen.designs import build_design, die_for, suite_specs
+from repro.gen.designs import (
+    UnknownDesignError,
+    build_design,
+    die_for,
+    suite_specs,
+)
 from repro.netlist.jsonio import load_design, save_design
 from repro.netlist.stats import design_stats
 from repro.netlist.verilog import design_to_verilog
@@ -152,6 +157,8 @@ def cmd_suite(args: argparse.Namespace) -> int:
                            **kwargs)
     except FlowError as exc:
         return _fail(f"{exc} (see `hidap flows`)")
+    except UnknownDesignError as exc:
+        return _fail(str(exc))
     print()
     print(format_table3(result.rows, result.design_info))
     print()

@@ -4,22 +4,20 @@
 (``flatten -> graphs -> shape-curves -> floorplan -> flip ->
 legalize``) and returns a :class:`MacroPlacement`.  Intermediate
 products live in a typed :class:`repro.api.artifacts.RunArtifacts`
-record kept as ``self.artifacts``; the historical instance attributes
-(``flat``, ``tree``, ``gnet``, ``gseq``, ``curves``,
-``port_positions``) are preserved as read-only views over it.
+record kept as ``self.artifacts`` (``placer.artifacts.flat``,
+``.tree``, ``.curves``, ...).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, TYPE_CHECKING, Union
+from typing import Optional, Sequence, TYPE_CHECKING, Union
 
 from repro.core.config import HiDaPConfig
 from repro.core.result import MacroPlacement
-from repro.geometry.rect import Point, Rect
+from repro.geometry.rect import Rect
 from repro.netlist.core import Design
 from repro.netlist.flatten import FlatDesign
 from repro.obs import current_tracer, perf_seconds
-from repro.shapecurve.curve import ShapeCurve
 
 if TYPE_CHECKING:  # pragma: no cover - lazy to avoid core<->api cycle
     from repro.api.artifacts import RunArtifacts
@@ -44,32 +42,6 @@ class HiDaP:
         self.observers = tuple(observers)
         #: Artifacts of the last run (for tools/figures/tests).
         self.artifacts: Optional["RunArtifacts"] = None
-
-    # -- last-run artifact views (legacy attribute surface) -----------------
-
-    @property
-    def flat(self) -> Optional[FlatDesign]:
-        return self.artifacts.flat if self.artifacts else None
-
-    @property
-    def tree(self):
-        return self.artifacts.tree if self.artifacts else None
-
-    @property
-    def gnet(self):
-        return self.artifacts.gnet if self.artifacts else None
-
-    @property
-    def gseq(self):
-        return self.artifacts.gseq if self.artifacts else None
-
-    @property
-    def curves(self) -> Optional[Dict[str, ShapeCurve]]:
-        return self.artifacts.curves if self.artifacts else None
-
-    @property
-    def port_positions(self) -> Optional[Dict[str, Point]]:
-        return self.artifacts.port_positions if self.artifacts else None
 
     # -- public API ----------------------------------------------------------
 

@@ -1,23 +1,16 @@
-"""Evaluation harness: run flows, extract metrics, print paper tables.
+"""Paper tables: Table II and Table III from referee rows.
 
 The paper's referee is fixed: every flow's macro placement is followed
-by the *same* standard-cell placement, congestion estimation and STA;
-wirelength is compared as geometric-mean ratios against handFP.  This
-package reproduces that pipeline end to end and formats Table II and
-Table III.
+by the *same* standard-cell placement, congestion estimation and STA
+(:func:`repro.api.evaluate_placement`); wirelength is compared as
+geometric-mean ratios against handFP.  This package formats those rows
+as Table II and Table III.
 """
 
-from repro.api.run import FlowMetrics, evaluate_placement, run_flow
-from repro.api.suite import SuiteResult, run_suite
 from repro.eval.tables import format_table2, format_table3, geomean
 
 __all__ = [
-    "FlowMetrics",
-    "SuiteResult",
-    "evaluate_placement",
     "format_table2",
     "format_table3",
     "geomean",
-    "run_flow",
-    "run_suite",
 ]

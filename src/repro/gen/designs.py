@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.gen.macros import make_macro_library
 from repro.gen.patterns import BUILDERS
@@ -88,6 +88,27 @@ def suite_specs(scale: str = "bench") -> List[DesignSpec]:
             cross_links=cross, paper_cells=paper_cells,
             paper_macros=paper_macros))
     return specs
+
+
+class UnknownDesignError(ValueError):
+    """A requested design is not in the suite at the requested scale."""
+
+
+def select_suite_specs(scale: str,
+                       designs: Optional[Sequence[str]] = None
+                       ) -> List[DesignSpec]:
+    """The suite specs named by ``designs`` (``None`` → all), in suite
+    order; raises :class:`UnknownDesignError` naming any unknown one."""
+    specs = suite_specs(scale)
+    if designs is None:
+        return specs
+    known = [spec.name for spec in specs]
+    unknown = [name for name in designs if name not in known]
+    if unknown:
+        raise UnknownDesignError(
+            f"unknown suite design(s) {unknown} for scale {scale!r} "
+            f"(known: {', '.join(known)})")
+    return [spec for spec in specs if spec.name in designs]
 
 
 def _structural_cells(spec: SubsystemSpec) -> int:

@@ -6,7 +6,7 @@ Usage::
 
     tracer = Tracer("main")
     with use_tracer(tracer):
-        run_flow(..., trace=True)
+        run_flow(flat, truth, "indeda", die_w, die_h)
     write_chrome_trace("out.json", [tracer.payload()])
 
 When no tracer is installed, ``current_tracer()`` returns the shared

@@ -2,10 +2,11 @@
 
 One (design, flow) cell executes identically whether it was submitted
 by ``run_suite`` (serial or pooled) or by
-:class:`~repro.service.jobs.PlacementService`: resolve a prepared
-design (worker-local cache → shared-memory handoff → rebuild), run the
-flow through the registry, collapse the paper's hidap labels.  Both
-front ends are thin clients of :func:`run_cell`.
+:class:`~repro.service.jobs.PlacementService`: :func:`execute_cell`
+runs the flow through the registry and collapses the paper's hidap
+labels.  In a pool worker, :func:`run_cell` first resolves the
+prepared design from the worker-local cache or else from the job's
+shared-memory handoff — workers never compile.
 
 Worker bootstrap lives here too: :func:`init_worker` replays
 third-party flow/backend registrations into spawn-mode workers, and
@@ -20,10 +21,9 @@ import os
 import warnings
 from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
 
-from repro.api.prepared import PreparedDesign, prepare_suite_design
+from repro.api.prepared import PreparedDesign
 from repro.api.registry import get_flow, parse_flow_spec
 from repro.api.run import FlowMetrics, RunOptions
-from repro.core.config import Effort
 from repro.obs import Tracer, use_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -140,26 +140,20 @@ def init_worker(entries, backend_entries=(),
 
 
 def prepared_for(scale: str, name: str,
-                 handoff: Optional["ShmHandoff"] = None
-                 ) -> PreparedDesign:
+                 handoff: "ShmHandoff") -> PreparedDesign:
     """This process's prepared design for ``(scale, name)``.
 
-    Resolution order: the process-local cache, then a shared-memory
-    ``handoff`` (attach compiled arrays + unpickle graphs — zero
-    compile work), then a full rebuild via
-    :func:`~repro.api.prepared.prepare_suite_design`.
+    The process-local cache first, else the shared-memory ``handoff``
+    (attach compiled arrays + unpickle graphs — zero compile work).
     """
     key = (scale, name)
     prepared = _PREPARED_CACHE.get(key)
     if prepared is None:
-        if handoff is not None:
-            prepared = handoff.materialize()
-        else:
-            prepared = prepare_suite_design(name, scale)
+        prepared = handoff.materialize()
         # Worker-local memo of the immutable PreparedDesign: filled
         # once per (scale, name) per process, never read across
         # processes, and the cached value is frozen — determinism does
-        # not depend on which worker compiled (or attached) it.
+        # not depend on which worker attached it.
         _PREPARED_CACHE[key] = prepared  # repro: noqa[REP009] frozen memo
     return prepared
 
@@ -179,25 +173,20 @@ def execute_cell(prepared: PreparedDesign, flow: str,
     return metrics
 
 
-def run_cell(scale: str, design_name: str, flow: str, seed: int,
-             effort_value: str,
-             referee_backend: Optional[str] = None,
-             trace: bool = False,
-             handoff: Optional["ShmHandoff"] = None
+def run_cell(scale: str, design_name: str, flow: str,
+             options: RunOptions, handoff: "ShmHandoff"
              ) -> Tuple[str, str, FlowMetrics, str,
                         Optional[Dict[str, Any]]]:
     """One (design, flow) cell, executed inside a pool worker.
 
-    With ``trace`` on, the cell runs under a worker-local tracer and
-    ships its span-tree payload back through the pool's result path —
-    a cold parallel suite trace shows each worker's own ``prepare.*``
-    recompilation cost, a warm-store one shows only ``store.attach``.
-    One tracer per cell (not per worker) keeps payload transport on the
-    existing result channel with no worker-exit hooks.
+    With ``options.trace`` set, the cell runs under a worker-local
+    tracer and ships its span-tree payload back through the pool's
+    result path; it shows ``store.attach`` on the worker's first cell
+    of a design and no ``prepare.*`` compile span ever.  One tracer per
+    cell (not per worker) keeps payload transport on the existing
+    result channel with no worker-exit hooks.
     """
-    options = RunOptions(seed=seed, effort=Effort(effort_value),
-                         referee_backend=referee_backend)
-    if not trace:
+    if not options.tracing:
         prepared = prepared_for(scale, design_name, handoff)
         metrics = execute_cell(prepared, flow, options)
         return design_name, flow, metrics, prepared.info(), None

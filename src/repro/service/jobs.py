@@ -4,6 +4,9 @@
 a :class:`~repro.service.store.CompiledDesignStore` (compile each
 design once, ever), shared-memory handoffs (ship compiled arrays to
 workers zero-copy), and a worker pool (place many jobs concurrently).
+Every service has a store — a temporary one, removed on ``close()``,
+when the caller names none — so every design it serves has a store
+entry, and pooled workers always attach instead of compiling.
 ``run_suite(workers=N)`` is a thin client of this class; interactive
 clients use it directly::
 
@@ -27,6 +30,7 @@ bit-identical to serial ``run_suite`` rows for the same
 
 from __future__ import annotations
 
+import tempfile
 import threading
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
@@ -43,9 +47,8 @@ from typing import (
     Union,
 )
 
-from repro.api.prepared import prepare_design
 from repro.api.run import FlowMetrics, RunOptions
-from repro.gen.designs import suite_specs
+from repro.gen.designs import select_suite_specs
 from repro.obs import current_tracer, wall_seconds
 from repro.service import engine
 from repro.service.store import CompiledDesignStore, StoreEntry
@@ -239,14 +242,16 @@ class PlacementService:
         ``full``).
     designs:
         Suite design names to serve (``None`` → every design of the
-        scale).  With a store, every named design is ensured (compiled
-        at most once, ever) at construction; with ``workers`` > 1 the
-        compiled entries are also exported to shared memory so workers
-        attach instead of recompiling.
+        scale; an unknown name raises
+        :class:`~repro.gen.designs.UnknownDesignError`).  Every named
+        design is ensured in the store (compiled at most once, ever) at
+        construction; with ``workers`` > 1 the compiled entries are
+        also exported to shared memory so workers attach instead of
+        recompiling.
     store:
-        ``None`` (no persistence — workers rebuild, the legacy suite
-        behaviour), a directory path, or a
-        :class:`~repro.service.store.CompiledDesignStore`.
+        A directory path or a
+        :class:`~repro.service.store.CompiledDesignStore`; ``None``
+        compiles into a temporary store that :meth:`close` removes.
     workers:
         ``None``/``0``/``1`` → inline mode (submit executes
         synchronously in-process); ``N > 1`` → a process pool of ``N``
@@ -266,18 +271,8 @@ class PlacementService:
                  options: Optional[RunOptions] = None):
         self.scale = scale
         self.options = options if options is not None else RunOptions()
-        self.store = (store if isinstance(store, CompiledDesignStore)
-                      or store is None
-                      else CompiledDesignStore(store))
-        self._specs = {spec.name: spec for spec in suite_specs(scale)
-                       if designs is None or spec.name in designs}
-        if designs is not None:
-            unknown = [d for d in designs if d not in self._specs]
-            if unknown:
-                known = ", ".join(s.name for s in suite_specs(scale))
-                raise ValueError(
-                    f"unknown suite design(s) {unknown} for scale "
-                    f"{scale!r} (known: {known})")
+        self._specs = {spec.name: spec
+                       for spec in select_suite_specs(scale, designs)}
         self._entries: Dict[str, StoreEntry] = {}
         self._owners: Dict[str, SegmentOwner] = {}
         self._prepared: Dict[str, object] = {}
@@ -285,20 +280,29 @@ class PlacementService:
         self._jobs: List[JobHandle] = []
         self._next_job = 0
         self._closed = False
-
-        if self.store is not None:
+        self._temp_store: Optional[tempfile.TemporaryDirectory] = None
+        if store is None:
+            self._temp_store = tempfile.TemporaryDirectory(
+                prefix="hidap-store-")
+            store = self._temp_store.name
+        try:
+            self.store = (store if isinstance(store, CompiledDesignStore)
+                          else CompiledDesignStore(store))
             for name, spec in self._specs.items():
                 self._entries[name] = self.store.ensure_spec(spec)
-        if workers is not None and workers > 1:
-            for name, entry in self._entries.items():
-                self._owners[name] = export_entry(entry)
-            backend_entries, default_backend = (
-                engine.portable_backend_entries())
-            self._pool = ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=engine.init_worker,
-                initargs=(engine.portable_flow_entries(),
-                          backend_entries, default_backend))
+            if workers is not None and workers > 1:
+                for name, entry in self._entries.items():
+                    self._owners[name] = export_entry(entry)
+                backend_entries, default_backend = (
+                    engine.portable_backend_entries())
+                self._pool = ProcessPoolExecutor(
+                    max_workers=workers,
+                    initializer=engine.init_worker,
+                    initargs=(engine.portable_flow_entries(),
+                              backend_entries, default_backend))
+        except BaseException:
+            self.close()
+            raise
 
     @property
     def designs(self) -> Tuple[str, ...]:
@@ -314,7 +318,8 @@ class PlacementService:
         self.close()
 
     def close(self) -> None:
-        """Shut the pool down and release every shared-memory segment."""
+        """Shut the pool down, release every shared-memory segment and
+        remove the temporary store, if the service made one."""
         if self._closed:
             return
         self._closed = True
@@ -324,6 +329,9 @@ class PlacementService:
         for owner in self._owners.values():
             owner.unlink()
         self._owners.clear()
+        if self._temp_store is not None:
+            self._temp_store.cleanup()
+            self._temp_store = None
 
     # -- submit / jobs ------------------------------------------------------
 
@@ -356,12 +364,9 @@ class PlacementService:
                                    design=design, flow=flow):
             pass
         if self._pool is not None:
-            owner = self._owners.get(design)
-            handoff = owner.handoff if owner is not None else None
             handle._future = self._pool.submit(
-                engine.run_cell, self.scale, design, flow, opts.seed,
-                opts.effort.value, opts.referee_backend,
-                bool(opts.trace), handoff)
+                engine.run_cell, self.scale, design, flow, opts,
+                self._owners[design].handoff)
         else:
             self._run_inline(handle, opts)
         return handle
@@ -396,10 +401,6 @@ class PlacementService:
         """Inline-mode prepared design: store-warm, cached per service."""
         prepared = self._prepared.get(design)
         if prepared is None:
-            entry = self._entries.get(design)
-            if entry is not None:
-                prepared = entry.materialize()
-            else:
-                prepared = prepare_design(self._specs[design])
+            prepared = self._entries[design].materialize()
             self._prepared[design] = prepared
         return prepared

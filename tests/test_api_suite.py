@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.api import run_suite
+from repro.api import RunOptions, run_suite
 from repro.cli import main
 from repro.core.config import Effort
+from repro.gen.designs import UnknownDesignError
 
 #: Cheap deterministic flows (no annealing) keep this test fast.
 FLOWS = ("indeda", "handfp-strip")
+FAST = RunOptions(effort=Effort.FAST)
 
 
 def _key_rows(result):
@@ -21,12 +23,12 @@ class TestParallelSuite:
     @pytest.fixture(scope="class")
     def serial(self):
         return run_suite(scale="tiny", designs=["c1", "c2"],
-                         flows=FLOWS, effort=Effort.FAST)
+                         flows=FLOWS, options=FAST)
 
     @pytest.fixture(scope="class")
     def parallel(self):
         return run_suite(scale="tiny", designs=["c1", "c2"],
-                         flows=FLOWS, effort=Effort.FAST, workers=2)
+                         flows=FLOWS, options=FAST, workers=2)
 
     def test_row_for_row_identical(self, serial, parallel):
         assert _key_rows(parallel) == _key_rows(serial)
@@ -42,7 +44,7 @@ class TestParallelSuite:
 
     def test_workers_one_is_serial(self, serial):
         one = run_suite(scale="tiny", designs=["c1", "c2"],
-                        flows=FLOWS, effort=Effort.FAST, workers=1)
+                        flows=FLOWS, options=FAST, workers=1)
         assert _key_rows(one) == _key_rows(serial)
 
     def test_normalization_applied(self, serial):
@@ -69,7 +71,7 @@ class TestForeignFlowInWorkers:
         try:
             result = run_suite(scale="tiny", designs=["c1"],
                                flows=("suite-parallel", "handfp-strip"),
-                               effort=Effort.FAST, workers=2)
+                               options=FAST, workers=2)
         finally:
             unregister_flow("suite-parallel")
         assert [(r.design, r.flow) for r in result.rows] == [
@@ -89,7 +91,7 @@ class TestFlowLabels:
         try:
             result = run_suite(scale="tiny", designs=["c1"],
                                flows=("hidap-mine", "handfp-strip"),
-                               effort=Effort.FAST)
+                               options=FAST)
         finally:
             unregister_flow("hidap-mine")
         # IndEDA's placement labels rows "indeda"; the point is the
@@ -100,11 +102,11 @@ class TestFlowLabels:
 class TestPortableEntries:
     def test_builtin_under_custom_name_is_shipped(self):
         from repro.api import HiDaPFlow, register_flow, unregister_flow
-        from repro.api.suite import _portable_flow_entries
+        from repro.service.engine import portable_flow_entries
 
         register_flow("fast-hidap", HiDaPFlow, overwrite=True)
         try:
-            names = [n for n, _f, _d in _portable_flow_entries()]
+            names = [n for n, _f, _d in portable_flow_entries()]
             assert "fast-hidap" in names
             assert "hidap" not in names       # true builtins skipped
         finally:
@@ -121,10 +123,11 @@ class TestRunFlowGseqCompat:
 
         foreign = build_gseq(build_gnet(two_stage_flat),
                              two_stage_flat, min_bits=8)
+        opts = RunOptions(seed=2, effort=Effort.FAST)
         plain = run_flow(two_stage_flat, None, "hidap", 40.0, 40.0,
-                         seed=2, effort=Effort.FAST)
+                         options=opts)
         with_gseq = run_flow(two_stage_flat, None, "hidap", 40.0, 40.0,
-                             seed=2, effort=Effort.FAST, gseq=foreign)
+                             options=opts, gseq=foreign)
         assert with_gseq.wl_meters == plain.wl_meters
 
 
@@ -141,3 +144,21 @@ class TestSuiteCli:
         assert main(["suite", "--scale", "tiny", "--designs", "c1",
                      "--flows", "nosuch"]) == 2
         assert "unknown flow" in capsys.readouterr().err
+
+    def test_suite_unknown_design_reported(self, capsys):
+        assert main(["suite", "--scale", "tiny", "--designs", "c1,c99",
+                     "--flows", "indeda"]) == 2
+        assert "unknown suite design(s) ['c99']" \
+            in capsys.readouterr().err
+
+
+class TestUnknownDesigns:
+    def test_serial_suite_rejects_unknown_design(self):
+        with pytest.raises(UnknownDesignError, match="c9"):
+            run_suite(scale="tiny", designs=["c9"], flows=FLOWS,
+                      options=FAST)
+
+    def test_pooled_suite_rejects_unknown_design(self):
+        with pytest.raises(UnknownDesignError, match="c99"):
+            run_suite(scale="tiny", designs=["c1", "c99"], flows=FLOWS,
+                      options=FAST, workers=2)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import Effort
-from repro.api import FlowMetrics, run_flow
+from repro.api import FlowMetrics, RunOptions, run_flow
 from repro.eval.tables import (
     format_table2,
     format_table3,
@@ -82,8 +82,8 @@ class TestRunFlow:
 
     def test_hidap_single_lambda(self, ctx):
         flat, truth, w, h = ctx
-        metrics = run_flow(flat, truth, "hidap-l0.5", w, h, seed=1,
-                           effort=Effort.FAST)
+        metrics = run_flow(flat, truth, "hidap-l0.5", w, h,
+                           options=RunOptions(seed=1, effort=Effort.FAST))
         assert metrics.lam == 0.5
         assert metrics.wl_meters > 0
 

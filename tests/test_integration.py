@@ -7,6 +7,7 @@ from repro.baselines.indeda import place_indeda
 from repro.core import HiDaP, HiDaPConfig
 from repro.core.config import Effort
 from repro.api import (
+    RunOptions,
     evaluate_placement,
     format_table2,
     format_table3,
@@ -53,7 +54,7 @@ class TestSuiteRunner:
     def test_subset_suite(self):
         result = run_suite(scale="tiny", designs=["c1"],
                            flows=("indeda", "handfp-strip"),
-                           effort=Effort.FAST)
+                           options=RunOptions(effort=Effort.FAST))
         assert len(result.rows) == 2
         assert {r.flow for r in result.rows} == {"indeda", "handfp"}
         handfp_rows = [r for r in result.rows if r.flow == "handfp"]
@@ -63,7 +64,7 @@ class TestSuiteRunner:
     def test_tables_render_from_suite(self):
         result = run_suite(scale="tiny", designs=["c1"],
                            flows=("indeda", "handfp-strip"),
-                           effort=Effort.FAST)
+                           options=RunOptions(effort=Effort.FAST))
         t2 = format_table2(result.rows)
         t3 = format_table3(result.rows, result.design_info)
         assert "indeda" in t2

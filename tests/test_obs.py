@@ -244,6 +244,31 @@ class TestObserverSafety:
         assert calls == ["s"]
 
 
+# -- referee kernel clock ---------------------------------------------------
+
+class TestRefereeClock:
+    def test_counters_equal_kernel_spans(self):
+        # One clock per kernel: each referee_<k>_us counter comes from
+        # the two clock reads of its own referee.<k> span.
+        from repro.api import RunOptions, prepare_suite_design, run_flow
+        from repro.obs import iter_spans
+
+        prepared = prepare_suite_design("c1", "tiny")
+        row = run_flow(prepared.flat, prepared.truth, "indeda",
+                       prepared.die_w, prepared.die_h,
+                       options=RunOptions(effort="fast", trace=True))
+        durations = {}
+        for payload in row.trace:
+            for _depth, span in iter_spans(payload):
+                durations.setdefault(span["name"], []).append(
+                    span["t1"] - span["t0"])
+        for kernel in ("stdcell", "locate", "hpwl", "congestion",
+                       "timing"):
+            (seconds,) = durations[f"referee.{kernel}"]
+            counter = row.eval_counters[f"referee_{kernel}_us"]
+            assert abs(counter - 1e6 * seconds) <= 1.0, kernel
+
+
 # -- CLI surface ------------------------------------------------------------
 
 class TestCliTrace:

@@ -8,15 +8,16 @@ every comparison here.
 
 import pytest
 
-from repro.api import prepare_suite_design, run_suite
+from repro.api import RunOptions, prepare_suite_design, run_flow, run_suite
 from repro.core.config import Effort
-from repro.api import run_flow
 from repro.gen.designs import build_design, die_for, suite_specs
 from repro.netlist.flatten import flatten
 from repro.obs import Tracer, iter_spans, use_tracer
 
 DESIGNS = ("c1", "c2", "c3")
 FLOWS = ("indeda", "handfp-strip")
+FAST = RunOptions(seed=1, effort=Effort.FAST)
+TRACED = RunOptions(seed=1, effort=Effort.FAST, trace=True)
 
 
 def _placement_key(placement):
@@ -68,9 +69,9 @@ class TestPlacementBitIdentity:
     def test_traced_run_flow_rows_match(self, name):
         flat, truth, die_w, die_h = _flat_and_die(name)
         plain = run_flow(flat, truth, "indeda", die_w, die_h,
-                         seed=1, effort=Effort.FAST)
+                         options=FAST)
         traced = run_flow(flat, truth, "indeda", die_w, die_h,
-                          seed=1, effort=Effort.FAST, trace=True)
+                          options=TRACED)
         assert _key_row(traced) == _key_row(plain)
         payloads = traced.trace
         assert payloads and payloads[0]["spans"]
@@ -83,19 +84,17 @@ class TestSuiteTraceParity:
     @pytest.fixture(scope="class")
     def serial(self):
         return run_suite(scale="tiny", designs=["c1", "c2"],
-                         flows=list(FLOWS), effort=Effort.FAST,
-                         trace=True)
+                         flows=list(FLOWS), options=TRACED)
 
     @pytest.fixture(scope="class")
     def parallel(self):
         return run_suite(scale="tiny", designs=["c1", "c2"],
-                         flows=list(FLOWS), effort=Effort.FAST,
-                         workers=2, trace=True)
+                         flows=list(FLOWS), options=TRACED, workers=2)
 
     @pytest.fixture(scope="class")
     def untraced(self):
         return run_suite(scale="tiny", designs=["c1", "c2"],
-                         flows=list(FLOWS), effort=Effort.FAST)
+                         flows=list(FLOWS), options=FAST)
 
     def test_traced_rows_match_untraced(self, serial, untraced):
         assert _key_rows(serial) == _key_rows(untraced)
@@ -124,14 +123,16 @@ class TestSuiteTraceParity:
         assert len(parallel.trace) >= 3   # main + 2 worker payloads
         worker_pids = {p["pid"] for p in parallel.trace[1:]}
         assert parallel.trace[0]["pid"] not in worker_pids
-        # Workers recompile PreparedDesign state; their traces must
-        # show it (the ROADMAP 0.956x-scaling evidence).
+        # Workers never compile, store or no store: each one attaches
+        # the shared-memory handoff of every design it places.
+        by_pid = {}
         for payload in parallel.trace[1:]:
-            names = {span["name"]
-                     for _d, span in iter_spans(payload)}
-            assert any(n.startswith("prepare.") for n in names), (
-                f"worker payload {payload['label']} has no prepare "
-                f"spans: {sorted(names)}")
+            by_pid.setdefault(payload["pid"], set()).update(
+                span["name"] for _d, span in iter_spans(payload))
+        for pid, names in by_pid.items():
+            assert "store.attach" in names, (pid, sorted(names))
+            assert not any(n.startswith("prepare.") for n in names), (
+                pid, sorted(names))
 
     def test_untraced_suite_has_no_trace_payload(self, untraced):
         assert untraced.trace is None

@@ -35,8 +35,8 @@ class TestTopLevelExports:
                 assert hasattr(module, name), f"repro.{package}.{name}"
 
 
-#: The frozen repro.api surface.  Additions belong here deliberately;
-#: removals/renames are breaking changes and must ship a shim.
+#: The frozen repro.api surface.  Additions and removals belong here
+#: deliberately.
 EXPECTED_API = {
     # flows / registry
     "BaseFlow", "FlowError", "HandFPFlow", "HandFPStripFlow",
@@ -87,8 +87,7 @@ class TestApiSurface:
             repro.api.not_a_real_export
 
     def test_import_is_deprecation_free(self):
-        # Importing the public surface must not trip the repro.eval
-        # shims.
+        # Importing the public surface emits no deprecation warning.
         proc = subprocess.run(
             [sys.executable, "-W", "error::DeprecationWarning", "-c",
              "import repro, repro.api, repro.service"],

@@ -4,8 +4,9 @@ The load-bearing assertions of the service layer:
 
 * rows are bit-identical serial vs cold-store vs warm-store vs pooled
   vs ``PlacementService.submit`` (c1–c3);
-* a warm-store pooled run records **zero** worker-side ``prepare.*``
-  compile spans (the whole point of the store + shm handoff);
+* pooled workers record **zero** ``prepare.*`` compile spans and
+  attach shared memory instead, with a warm store, a cold one, or a
+  temporary one when no store is named;
 * job handles observe a consistent queued → running → done/failed
   event order through poll/result/stream_events;
 * worker bootstrap replays flow/backend registrations and warns —
@@ -13,13 +14,14 @@ The load-bearing assertions of the service layer:
 """
 
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
 
 from repro.api import RunOptions, run_suite
 from repro.core.config import Effort
-from repro.gen.designs import suite_specs
+from repro.gen.designs import UnknownDesignError, suite_specs
 from repro.obs import iter_spans
 from repro.service import (
     CompiledDesignStore,
@@ -44,6 +46,27 @@ def _key_row(metrics):
 
 def _key_rows(result):
     return [_key_row(row) for row in result.rows]
+
+
+def _spec(name):
+    return next(s for s in suite_specs("tiny") if s.name == name)
+
+
+def _span_names(payload):
+    return {span["name"] for _d, span in iter_spans(payload)}
+
+
+def _assert_workers_attach(result):
+    """Every worker process attached shm and none compiled."""
+    by_pid = {}
+    for payload in result.trace[1:]:
+        by_pid.setdefault(payload["pid"], set()).update(
+            _span_names(payload))
+    assert by_pid
+    for pid, names in by_pid.items():
+        assert "store.attach" in names, (pid, sorted(names))
+        assert not any(n.startswith("prepare.") for n in names), (
+            pid, sorted(names))
 
 
 @pytest.fixture(scope="module")
@@ -130,15 +153,18 @@ class TestWarmStoreSpans:
         assert {"store.miss", "store.compile", "store.save"} \
             <= main_names
 
-    def test_legacy_no_store_workers_still_compile(self):
-        # The pre-store behaviour is pinned: without a store, worker
-        # processes rebuild and their traces must show it.
+    def test_cold_workers_attach_and_compile_nothing(self,
+                                                     cold_pooled):
+        _assert_workers_attach(cold_pooled)
+
+    def test_storeless_workers_attach_and_compile_nothing(self):
+        # No store named: the service compiles into a temporary one in
+        # the main process and workers attach it like any other.
         result = run_suite(scale="tiny", designs=["c1"], flows=FLOWS,
                            options=TRACE_OPTS, workers=2)
-        assert any(
-            span["name"].startswith("prepare.")
-            for payload in result.trace[1:]
-            for _d, span in iter_spans(payload))
+        _assert_workers_attach(result)
+        main_names = _span_names(result.trace[0])
+        assert {"store.miss", "store.compile"} <= main_names
 
 
 class TestShmHandoff:
@@ -237,8 +263,28 @@ class TestJobLifecycle:
                 service.submit("c9", "indeda")
 
     def test_unknown_design_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="nope"):
+        with pytest.raises(UnknownDesignError, match="nope"):
             PlacementService(scale="tiny", designs=("nope",))
+
+    def test_temporary_store_removed_on_close(self, tmp_path,
+                                              monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with PlacementService(scale="tiny", designs=("c1",),
+                              options=OPTS) as service:
+            assert service.store.root.parent == tmp_path
+            service.submit("c1", "indeda").result()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_temporary_store_removed_when_construction_fails(
+            self, tmp_path, monkeypatch):
+        def broken(self, spec, min_bits=None):
+            raise RuntimeError("compile failed")
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(CompiledDesignStore, "ensure_spec", broken)
+        with pytest.raises(RuntimeError, match="compile failed"):
+            PlacementService(scale="tiny", designs=("c1",))
+        assert list(tmp_path.iterdir()) == []
 
     def test_closed_service_rejects_submissions(self):
         service = PlacementService(scale="tiny", designs=("c1",),
@@ -314,29 +360,38 @@ class TestWorkerBootstrap:
         finally:
             set_default_backend(baseline)
 
-    def test_prepared_cache_reused_across_flows(self):
+    def test_prepared_cache_reused_across_flows(self, store_dir):
         key = ("tiny", "c1")
         engine._PREPARED_CACHE.pop(key, None)
-        first = engine.prepared_for("tiny", "c1")
-        second = engine.prepared_for("tiny", "c1")
-        assert first is second
-        engine._PREPARED_CACHE.pop(key, None)
+        entry = CompiledDesignStore(store_dir).ensure_spec(_spec("c1"))
+        owner = export_entry(entry)
+        handoff = pickle.loads(pickle.dumps(owner.handoff))
+        try:
+            first = engine.prepared_for("tiny", "c1", handoff)
+            second = engine.prepared_for("tiny", "c1", handoff)
+            assert first is second
+        finally:
+            engine._PREPARED_CACHE.pop(key, None)
+            handoff.close()
+            owner.unlink()
 
-    def test_one_worker_prepares_once_across_flows(self):
+    def test_one_worker_prepares_once_across_flows(self, store_dir):
         # Two flows on one design scheduled on a single worker: the
-        # first cell's trace shows the rebuild, the second reuses the
-        # worker-local prepared cache.  (handfp-strip goes first: it
-        # also builds the slicing tree, which indeda never touches.)
+        # first cell attaches the handoff, the second reuses the
+        # worker-local prepared cache; neither compiles.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            first = pool.submit(engine.run_cell, "tiny", "c1",
-                                "handfp-strip", 1, "fast", None,
-                                True).result()
-            second = pool.submit(engine.run_cell, "tiny", "c1",
-                                 "indeda", 1, "fast", None,
-                                 True).result()
-        first_names = {s["name"] for _d, s in iter_spans(first[4])}
-        second_names = {s["name"] for _d, s in iter_spans(second[4])}
-        assert any(n.startswith("prepare.") for n in first_names)
-        assert not any(n.startswith("prepare.") for n in second_names)
+        entry = CompiledDesignStore(store_dir).ensure_spec(_spec("c1"))
+        owner = export_entry(entry)
+        try:
+            with ProcessPoolExecutor(max_workers=1) as pool:
+                cells = [pool.submit(engine.run_cell, "tiny", "c1", flow,
+                                     TRACE_OPTS, owner.handoff).result()
+                         for flow in ("handfp-strip", "indeda")]
+        finally:
+            owner.unlink()
+        first, second = (_span_names(cell[4]) for cell in cells)
+        assert "store.attach" in first
+        assert "store.attach" not in second
+        assert not any(n.startswith("prepare.")
+                       for n in first | second)

@@ -12,7 +12,10 @@ every build:
    store hits;
 3. a ``PlacementService`` submit/poll round-trip over the same store,
    asserting the job lifecycle (queued → done) and that the rows are
-   bit-identical to the suite's.
+   bit-identical to the suite's;
+4. a traced 2-worker run with no store named — the service compiles
+   into a temporary store, so its workers too must record zero
+   ``prepare.*`` spans: pooled workers never compile.
 
 Exits non-zero with a named assertion on any violation.
 """
@@ -41,6 +44,18 @@ def _key_rows(rows):
              r.wns_percent, r.tns, r.wl_norm) for r in rows]
 
 
+def _assert_workers_attach(result, label):
+    names = {span["name"]
+             for payload in result.trace[1:]
+             for _depth, span in iter_spans(payload)}
+    compile_spans = sorted(n for n in names if n.startswith("prepare."))
+    assert not compile_spans, (
+        f"{label} workers must compile nothing, saw {compile_spans}")
+    assert "store.attach" in names, \
+        f"{label} workers must attach shared memory"
+    return names
+
+
 def main() -> int:
     opts = RunOptions(seed=1, effort=Effort.FAST)
     trace_opts = RunOptions(seed=1, effort=Effort.FAST, trace=True)
@@ -58,16 +73,7 @@ def main() -> int:
         assert _key_rows(warm.rows) == _key_rows(cold.rows), \
             "warm-store rows differ from cold-store rows"
 
-        worker_names = {span["name"]
-                        for payload in warm.trace[1:]
-                        for _depth, span in iter_spans(payload)}
-        compile_spans = sorted(n for n in worker_names
-                               if n.startswith("prepare."))
-        assert not compile_spans, (
-            f"warm-store workers must compile nothing, saw "
-            f"{compile_spans}")
-        assert "store.attach" in worker_names, \
-            "warm-store workers must attach shared memory"
+        worker_names = _assert_workers_attach(warm, "warm-store")
         main_names = {span["name"]
                       for _depth, span in iter_spans(warm.trace[0])}
         assert "store.hit" in main_names, \
@@ -91,9 +97,17 @@ def main() -> int:
         assert _key_rows(rows) == _key_rows(cold.rows), \
             "PlacementService rows differ from run_suite rows"
 
+    print("store-less 2-worker suite (traced)")
+    storeless = run_suite(scale="tiny", designs=list(DESIGNS),
+                          flows=FLOWS, options=trace_opts, workers=2)
+    assert _key_rows(storeless.rows) == _key_rows(cold.rows), \
+        "store-less rows differ from cold-store rows"
+    _assert_workers_attach(storeless, "store-less")
+    print("  workers attached shm; zero prepare.* spans")
+
     print(f"PASS: {len(cold.rows)} rows bit-identical across "
-          f"cold store, warm store, and submit/poll; warm workers "
-          f"compiled nothing")
+          f"cold store, warm store, submit/poll and no store; pooled "
+          f"workers compiled nothing")
     return 0
 
 
