@@ -34,7 +34,8 @@ class RunArtifacts:
     the pipeline runs; each stage fills in the fields it owns.  Fields
     that are already populated are treated as caches and left alone,
     which is how prepared-design reuse avoids rebuilding ``flat`` /
-    ``gnet`` / ``gseq`` for every consumer.
+    ``gnet`` / ``gseq`` for every consumer, and how a λ sweep reuses
+    its first run's ``curves``.
     """
 
     die: Rect
@@ -56,7 +57,8 @@ class RunArtifacts:
     flipped_macros: int = 0
     legalizer_moves: int = 0
     #: Evaluation-work counters of the two annealing stages
-    #: (shape-curves and floorplan), accumulated as plain ints:
+    #: (shape-curves, unless its curves were handed in, and
+    #: floorplan), accumulated as plain ints:
     #: ``cost_evals``, ``cost_cache_hits``, ``layout_nodes_total``,
     #: ``layout_nodes_expanded``, ``subtree_hits``/``subtree_misses``,
     #: ``curve_compose_hits``/``curve_compose_misses``.  Observers read

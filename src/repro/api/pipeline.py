@@ -11,9 +11,11 @@ stages::
 
     flatten -> graphs -> shape-curves -> floorplan -> flip -> legalize
 
-Stages skip work whose product is already present on the artifacts
-(e.g. a cached ``flat``/``gnet``/``gseq`` injected from a
-:class:`~repro.api.prepared.PreparedDesign`).
+Stages skip work whose product is already present on the artifacts:
+``flatten`` a cached ``flat``, ``graphs`` a cached ``tree``/``gnet``/
+``gseq`` (injected from a :class:`~repro.api.prepared.PreparedDesign`),
+and ``shape-curves`` the ``curves`` of an earlier run that a λ sweep
+hands on (see :meth:`repro.core.hidap.HiDaP.place`).
 """
 
 from __future__ import annotations
@@ -151,6 +153,8 @@ def _merge_eval_counters(artifacts: RunArtifacts, stats) -> None:
 
 
 def _stage_shape_curves(artifacts: RunArtifacts) -> None:
+    if artifacts.curves is not None:
+        return
     flat = artifacts.flat
     config = artifacts.config
 

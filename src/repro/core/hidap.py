@@ -47,7 +47,8 @@ class HiDaP:
 
     def place(self, design: Union[Design, FlatDesign], die_width: float,
               die_height: float, flow_name: str = "hidap",
-              gnet=None, gseq=None, tree=None) -> MacroPlacement:
+              gnet=None, gseq=None, tree=None,
+              curves=None) -> MacroPlacement:
         """Place all macros of ``design`` on a die of the given size.
 
         ``gnet``/``gseq``/``tree`` may be passed to reuse pre-built
@@ -55,6 +56,14 @@ class HiDaP:
         :class:`repro.api.prepared.PreparedDesign` cache); the graphs
         stage then skips reconstruction.  Callers are responsible for
         passing a ``gseq`` built with the configured ``min_bits``.
+
+        ``curves`` (the ``artifacts.curves`` of an earlier run on the
+        same design and ``tree``) makes the shape-curves stage skip its
+        search.  Curves depend only on
+        :meth:`~repro.core.config.HiDaPConfig.shapegen_config`, which
+        ignores λ, so a λ sweep computes them once (see
+        ``HiDaPBest3Flow``); callers are responsible for passing curves
+        made under an equal ``shapegen_config()``.
         """
         from repro.api.artifacts import RunArtifacts
         from repro.api.pipeline import build_hidap_pipeline
@@ -65,7 +74,7 @@ class HiDaP:
         artifacts = RunArtifacts(
             die=die, config=self.config, flow_name=flow_name,
             design=design.design if flat is not None else design,
-            flat=flat, gnet=gnet, gseq=gseq, tree=tree)
+            flat=flat, gnet=gnet, gseq=gseq, tree=tree, curves=curves)
 
         pipeline = build_hidap_pipeline(observers=self.observers)
         # Expose the record before running so partially filled

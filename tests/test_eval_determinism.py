@@ -1,14 +1,24 @@
 """Determinism of the full referee and the best-of-three protocol."""
 
+import pytest
 
+import repro.api.pipeline as pipeline
 from repro.baselines.indeda import place_indeda
-from repro.core.config import Effort
+from repro.core.config import Effort, HiDaPConfig
+from repro.core.hidap import HiDaP
 from repro.api import (
     HIDAP_LAMBDAS,
+    PreparedDesign,
     RunOptions,
     evaluate_placement,
+    get_flow,
     run_flow,
 )
+
+#: ``FlowMetrics`` fields that do not depend on the wall clock.
+DETERMINISTIC_FIELDS = ("design", "flow", "wl_meters", "grc_percent",
+                        "wns_percent", "tns", "wl_norm", "macro_overlap",
+                        "lam")
 
 
 class TestRefereeDeterminism:
@@ -44,3 +54,61 @@ class TestBestOfThree:
                           die_h, options=opts)
         assert best3.lam in HIDAP_LAMBDAS
         assert best3.wl_meters <= single.wl_meters + 1e-12
+
+
+class TestBest3Sweep:
+    """best3 computes shape curves once and reports the whole sweep."""
+
+    @pytest.mark.parametrize("a, b", [(0.2, 0.5), (0.5, 0.8), (0.0, 1.0)])
+    def test_shapegen_config_ignores_lambda(self, a, b):
+        assert (HiDaPConfig(lam=a).shapegen_config()
+                == HiDaPConfig(lam=b).shapegen_config())
+
+    def test_one_shape_curve_search_per_design(self, monkeypatch,
+                                               two_stage_design):
+        calls = []
+        original = pipeline.generate_shape_curves
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "generate_shape_curves", counting)
+        flow = get_flow("hidap-best3", seed=2, effort=Effort.FAST)
+        for _design in range(2):
+            prepared = PreparedDesign(design=two_stage_design, die_w=40.0,
+                                      die_h=40.0)
+            flow.evaluate(prepared)
+        assert len(calls) == 2
+
+    def test_placer_seconds_sums_the_sweep(self, monkeypatch,
+                                           two_stage_design):
+        runtimes = []
+        original = HiDaP.place
+
+        def recording(self, *args, **kwargs):
+            placement = original(self, *args, **kwargs)
+            runtimes.append(placement.runtime_seconds)
+            return placement
+
+        monkeypatch.setattr(HiDaP, "place", recording)
+        prepared = PreparedDesign(design=two_stage_design, die_w=40.0,
+                                  die_h=40.0)
+        row = get_flow("hidap-best3", seed=2,
+                       effort=Effort.FAST).evaluate(prepared)
+        assert len(runtimes) == len(HIDAP_LAMBDAS)
+        assert row.placer_seconds == sum(runtimes)
+
+    def test_row_is_best_of_independent_runs(self, tiny_c1_flat, tiny_c1):
+        _design, truth, die_w, die_h = tiny_c1
+        opts = RunOptions(seed=1, effort=Effort.FAST)
+        best3 = run_flow(tiny_c1_flat, truth, "hidap-best3", die_w,
+                         die_h, options=opts)
+        best = None
+        for lam in HIDAP_LAMBDAS:
+            row = run_flow(tiny_c1_flat, truth, f"hidap:lam={lam}",
+                           die_w, die_h, options=opts)
+            if best is None or row.wl_meters < best.wl_meters:
+                best = row
+        for name in DETERMINISTIC_FIELDS:
+            assert getattr(best3, name) == getattr(best, name), name

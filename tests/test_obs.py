@@ -20,6 +20,7 @@ from repro.obs import (
     write_jsonl,
 )
 
+from tools.trace_diff import diff_rows, main as trace_diff_main
 from tools.trace_summary import load_spans, summarize
 
 
@@ -198,6 +199,29 @@ class TestSinks:
             agg = summarize(load_spans(str(path)))
             assert agg["outer"][1] == 2         # count
             assert len(agg["outer"][3]) == 2    # distinct pids
+
+    def test_trace_diff_tool(self, tmp_path, capsys):
+        before = tmp_path / "before.json"
+        after = tmp_path / "after.jsonl"
+        write_chrome_trace(before, [{"pid": 1, "spans": [
+            {"name": "flip", "t0": 0.0, "t1": 2.0},
+            {"name": "flip", "t0": 2.0, "t1": 3.0},
+            {"name": "curves", "t0": 3.0, "t1": 4.5},
+            {"name": "gone", "t0": 4.5, "t1": 4.75}]}])
+        write_jsonl(after, [{"pid": 1, "spans": [
+            {"name": "flip", "t0": 0.0, "t1": 0.5},
+            {"name": "curves", "t0": 0.5, "t1": 1.5},
+            {"name": "new", "t0": 1.5, "t1": 1.625}]}])
+        rows = diff_rows(str(before), str(after))
+        assert rows == [("flip", 2, 3.0, 1, 0.5),
+                        ("curves", 1, 1.5, 1, 1.0),
+                        ("gone", 1, 0.25, 0, 0.0),
+                        ("new", 0, 0.0, 1, 0.125)]
+        assert trace_diff_main([str(before), str(after), "--top", "2"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1].split() == ["2", "3.000", "1", "0.500", "-2.500",
+                                  "flip"]
+        assert out[-1] == "... 2 more span name(s)"
 
 
 # -- pipeline observer exception safety -------------------------------------
